@@ -138,13 +138,12 @@ class TestServeSim:
             ["serve-sim", "--serve-jobs", "4", "--out", str(tmp_path)]
         ) == 0
         out = capsys.readouterr().out
-        assert "scheduled (serial)" in out
         assert "scheduled (fused)" in out
         assert "scheduled (fused+cache)" in out
 
         payload = json.loads((tmp_path / "BENCH_scheduler.json").read_text())
-        assert payload["schema"] == "repro.bench_scheduler/v2"
-        assert payload["scheduled_serial"]["identical_to_isolated"] is True
+        assert payload["schema"] == "repro.bench_scheduler/v3"
+        assert "scheduled_serial" not in payload
         assert payload["scheduled_fused"]["identical_to_isolated"] is True
         assert payload["scheduled_cached"]["cache_hit_rate"] > 0
 

@@ -140,6 +140,32 @@ class TestResume:
         assert sum(1 for r in records if r["kind"] == "header") == 1
 
 
+class TestJournalCompatibility:
+    @pytest.mark.parametrize("keep_records", [3, None])
+    def test_header_with_legacy_fusion_key_resumes(self, tmp_path, keep_records):
+        """Journals recorded while the scheduler still had a ``fusion``
+        flag carry ``"fusion": true`` in their header.  The header check
+        compares only the current workload facts, so such a journal
+        (whole, or cut to a crash prefix) resumes bit-identically."""
+        state = tmp_path / "state"
+        first, _, _ = run_durable_workload(make_workload(), state)
+        journal_path = state / "journal.jsonl"
+        records = JobJournal.recover(journal_path)[:keep_records]
+        journal_path.unlink()
+        (state / "comparisons.sqlite3").unlink()
+        journal = JobJournal(journal_path)
+        for record in records:
+            fields = {k: v for k, v in record.items() if k not in ("crc", "kind")}
+            if record["kind"] == "header":
+                fields["fusion"] = True
+            journal.append(record["kind"], **fields)
+        journal.close()
+        assert JobJournal.recover(journal_path)[0]["fusion"] is True
+        resumed, sched, _ = run_durable_workload(make_workload(), state)
+        assert fingerprints(resumed) == fingerprints(first)
+        assert sched.replayed_batches == sum(1 for r in records if r["kind"] == "serve")
+
+
 class TestWarmCache:
     def test_warm_run_buys_nothing(self, tmp_path):
         state = tmp_path / "state"
