@@ -88,6 +88,7 @@ from .durability import (
     DurabilityPolicy,
     JobJournal,
     JournalMismatchError,
+    PairBatch,
     PersistentComparisonStore,
     StoreRebuiltWarning,
 )
@@ -291,6 +292,7 @@ __all__ = [
     "DurabilityPolicy",
     "JobJournal",
     "JournalMismatchError",
+    "PairBatch",
     "PersistentComparisonStore",
     "StoreRebuiltWarning",
     # telemetry

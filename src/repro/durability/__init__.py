@@ -1,11 +1,12 @@
 """Durable state for crowd-max runs: persistent cache + job journal.
 
 Comparisons cost money; losing a process should not mean re-buying
-them.  This package provides the two stdlib-only durability
-primitives (no scheduler imports — the scheduler imports *us*):
+them.  This package provides the two durability primitives, built on
+the stdlib plus numpy (no scheduler imports — the scheduler imports
+*us*):
 
 * :class:`PersistentComparisonStore` — settled judgments in SQLite
-  (WAL), version-stamped and checksummed, rebuilt cold on any
+  (WAL), one checksummed row per written batch, rebuilt cold on any
   validation failure;
 * :class:`JobJournal` — an append-only, CRC-framed record of every
   batch a run bought, with torn-tail recovery, from which a killed
@@ -22,6 +23,7 @@ from .policy import DurabilityPolicy
 from .store import (
     STORE_CACHE_VERSION,
     STORE_SCHEMA_VERSION,
+    PairBatch,
     PersistentComparisonStore,
     StoreRebuiltWarning,
 )
@@ -35,6 +37,7 @@ __all__ = [
     "DurabilityPolicy",
     "STORE_CACHE_VERSION",
     "STORE_SCHEMA_VERSION",
+    "PairBatch",
     "PersistentComparisonStore",
     "StoreRebuiltWarning",
 ]

@@ -13,13 +13,16 @@ Framing
 -------
 One JSON object per line.  Each record carries a ``crc`` field — a
 truncated SHA-256 over the canonical (compact, sorted-keys) encoding
-of the rest of the record.  A standalone append is flushed and
-``fsync``\\ ed before returning; a *group commit*
-(:meth:`JobJournal.begin_group` / :meth:`JobJournal.commit_group`)
-buffers many records and lands them with one write + one fsync — how
-the scheduler frames all of a tick's serve records.  Either way a
-record reaches the disk whole or not at all from the journal's point
-of view; a crash mid-write leaves at most one torn final line.
+of the rest of the record.  The line is that encoding with the ``crc``
+spliced in as the first key, so a record is encoded once; readers
+parse the line and re-encode, so any key order or spacing verifies.
+A standalone append is flushed and ``fsync``\\ ed before returning;
+a *group commit* (:meth:`JobJournal.begin_group` /
+:meth:`JobJournal.commit_group`) buffers many records and lands them
+with one write + one fsync — how the scheduler frames all of a tick's
+serve records.  Either way a record reaches the disk whole or not at
+all from the journal's point of view; a crash mid-write leaves at most
+one torn final line.
 
 :meth:`recover` reads records until the first line that is incomplete,
 unparseable, or fails its CRC, then **truncates the file there**
@@ -48,9 +51,10 @@ JOURNAL_FORMAT = "repro.journal/v1"
 JournalRecord = dict[str, Any]
 
 
-def _record_crc(payload: dict[str, Any]) -> str:
+def _encode(payload: dict[str, Any]) -> tuple[str, str]:
+    """The canonical (compact, sorted-keys) body and its CRC."""
     body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
+    return body, hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
 
 
 class JobJournal:
@@ -93,8 +97,9 @@ class JobJournal:
         record must not be made observable elsewhere before then.
         """
         payload: dict[str, Any] = {"kind": kind, **fields}
-        record: JournalRecord = {"crc": _record_crc(payload), **payload}
-        line = json.dumps(record, sort_keys=True) + "\n"
+        body, crc = _encode(payload)
+        record: JournalRecord = {"crc": crc, **payload}
+        line = f'{{"crc":"{crc}",{body[1:]}\n'
         if self._group is not None:
             self._group.append(line)
             return record
@@ -191,7 +196,7 @@ class JobJournal:
             if not isinstance(record, dict) or "crc" not in record:
                 break
             payload = {k: v for k, v in record.items() if k != "crc"}
-            if record["crc"] != _record_crc(payload):
+            if record["crc"] != _encode(payload)[1]:
                 break
             records.append(record)
             offset = newline + 1

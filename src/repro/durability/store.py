@@ -5,12 +5,15 @@ pairwise judgment is a paid crowd task — so the cross-job
 :class:`~repro.scheduler.cache.ComparisonMemoCache` holds real spent
 budget.  This module keeps that state alive across process restarts:
 :class:`PersistentComparisonStore` is a SQLite (stdlib ``sqlite3``,
-WAL mode) table of settled answers under the cache's own keys,
+WAL mode) table of settled answers, one row per written batch:
 
-``(instance fingerprint, pool name, judgments per task, lo, hi)``
+``(seq, fingerprint, pool, judgments, lo, hi, lo_wins, checksum)``
 
-with ``lo < hi`` and the answer normalised to "``lo`` wins", exactly
-mirroring the in-memory normalisation.
+where ``lo`` / ``hi`` are little-endian ``int32`` blobs and ``lo_wins``
+a ``uint8`` blob, one element per pair, with ``lo < hi`` and the answer
+normalised to "``lo`` wins", exactly mirroring the in-memory
+normalisation.  Batches apply in ``seq`` order, so a later write of a
+pair wins (upsert).
 
 Trust model
 -----------
@@ -20,10 +23,11 @@ validates before serving:
 * a ``schema_version`` / ``cache_version`` stamp in the ``meta`` table
   — a mismatch (new code, old store or vice versa) **rebuilds cold**
   with a warning rather than serving judgments under a stale encoding;
-* a per-row checksum over the full key and answer — any row that fails
-  verification marks the whole store untrusted and it is rebuilt cold
-  (reject-and-rebuild), because a store that tampers or bit-rots once
-  cannot be trusted row-by-row.
+* a per-batch checksum over the bucket key and all three blobs, plus a
+  blob-length check — any batch that fails verification marks the
+  whole store untrusted and it is rebuilt cold (reject-and-rebuild),
+  because a store that tampers or bit-rots once cannot be trusted
+  batch-by-batch.
 
 Rebuilding loses only *cached reuse* (judgments will be re-bought);
 it can never corrupt results, which is the right trade for a cache.
@@ -37,38 +41,58 @@ import hashlib
 import sqlite3
 import warnings
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 __all__ = [
     "STORE_SCHEMA_VERSION",
     "STORE_CACHE_VERSION",
+    "PairBatch",
     "StoreRebuiltWarning",
     "PersistentComparisonStore",
 ]
 
-#: Layout version of the SQLite schema itself.
-STORE_SCHEMA_VERSION = 1
+#: Layout version of the SQLite schema itself (2: one row per batch).
+STORE_SCHEMA_VERSION = 2
 
 #: Version of the judgment *encoding* (key normalisation, answer
 #: polarity).  Bump whenever cached answers written by older code must
 #: not be reused, even though the table layout still parses.
 STORE_CACHE_VERSION = 1
 
-#: One store key, identical to the in-memory cache's ``_Key``:
+#: One store key as :meth:`PersistentComparisonStore.load` reports it:
 #: (fingerprint, pool_name, judgments_per_task, lo, hi) with lo < hi.
 Key = tuple[str, str, int, int, int]
+
+
+class PairBatch(NamedTuple):
+    """Settled answers of one bucket, column-wise.
+
+    ``lo`` / ``hi`` hold the normalised pair indices and ``lo_wins``
+    the answers, element ``k`` of each describing pair ``k``.
+    """
+
+    fingerprint: str
+    pool: str
+    judgments: int
+    lo: np.ndarray
+    hi: np.ndarray
+    lo_wins: np.ndarray
 
 
 class StoreRebuiltWarning(UserWarning):
     """A persistent store failed validation and was rebuilt cold."""
 
 
-def _row_checksum(
-    fingerprint: str, pool: str, judgments: int, lo: int, hi: int, lo_wins: int
+def _batch_checksum(
+    fingerprint: str, pool: str, judgments: int, lo: bytes, hi: bytes, lo_wins: bytes
 ) -> str:
-    """Checksum binding a row's full key to its answer."""
-    body = f"{fingerprint}|{pool}|{judgments}|{lo}|{hi}|{lo_wins}"
-    return hashlib.sha256(body.encode("ascii")).hexdigest()[:16]
+    """Checksum binding a batch's bucket key to every pair and answer."""
+    digest = hashlib.sha256(f"{fingerprint}|{pool}|{judgments}|".encode("ascii"))
+    for blob in (lo, hi, lo_wins):
+        digest.update(blob)
+    return digest.hexdigest()[:16]
 
 
 class PersistentComparisonStore:
@@ -83,12 +107,13 @@ class PersistentComparisonStore:
         mismatch-rebuild path; production code always uses the module
         constants.
 
-    Opening validates the version stamps and **every row's checksum**;
-    any failure emits a :class:`StoreRebuiltWarning` and restarts the
-    store cold (the reason is kept on :attr:`rebuilt_reason`).  The
-    connection allows cross-thread use because the scheduler may be
-    constructed and run on different threads, but access is expected
-    to be serial (the scheduler's event loop is single-threaded).
+    Opening validates the version stamps and **every batch's checksum
+    and blob lengths**; any failure emits a :class:`StoreRebuiltWarning`
+    and restarts the store cold (the reason is kept on
+    :attr:`rebuilt_reason`).  The connection allows cross-thread use
+    because the scheduler may be constructed and run on different
+    threads, but access is expected to be serial (the scheduler's event
+    loop is single-threaded).
     """
 
     def __init__(
@@ -108,7 +133,7 @@ class PersistentComparisonStore:
             self._ensure_schema()
         except sqlite3.DatabaseError:
             # Not a SQLite file at all (overwritten, bit-rotted header):
-            # same trust model as a bad row — start cold, loudly.
+            # same trust model as a bad batch — start cold, loudly.
             self._conn.close()
             self.path.unlink(missing_ok=True)
             self._connect()
@@ -146,8 +171,9 @@ class PersistentComparisonStore:
                 f"code {self.cache_version!r})"
             )
             return
-        if not self._rows_verify():
-            self._rebuild("row checksum mismatch (corrupted or tampered row)")
+        problem = self._batches_problem()
+        if problem is not None:
+            self._rebuild(problem)
 
     def _create_schema(self) -> None:
         with self._conn:
@@ -155,15 +181,15 @@ class PersistentComparisonStore:
                 "CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT)"
             )
             self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS comparisons ("
+                "CREATE TABLE IF NOT EXISTS batches ("
+                " seq INTEGER PRIMARY KEY,"
                 " fingerprint TEXT NOT NULL,"
                 " pool TEXT NOT NULL,"
                 " judgments INTEGER NOT NULL,"
-                " lo INTEGER NOT NULL,"
-                " hi INTEGER NOT NULL,"
-                " lo_wins INTEGER NOT NULL,"
-                " checksum TEXT NOT NULL,"
-                " PRIMARY KEY (fingerprint, pool, judgments, lo, hi))"
+                " lo BLOB NOT NULL,"
+                " hi BLOB NOT NULL,"
+                " lo_wins BLOB NOT NULL,"
+                " checksum TEXT NOT NULL)"
             )
             self._conn.execute(
                 "INSERT OR REPLACE INTO meta VALUES ('schema_version', ?)",
@@ -180,23 +206,24 @@ class PersistentComparisonStore:
         ).fetchone()
         return None if row is None else str(row[0])
 
-    def _rows_verify(self) -> bool:
-        """Whether every stored row's checksum matches its contents."""
+    def _batches_problem(self) -> str | None:
+        """Why the stored batches cannot be trusted, or ``None``."""
         try:
             rows = self._conn.execute(
                 "SELECT fingerprint, pool, judgments, lo, hi, lo_wins, checksum"
-                " FROM comparisons"
+                " FROM batches"
             )
             for fingerprint, pool, judgments, lo, hi, lo_wins, checksum in rows:
-                expected = _row_checksum(
-                    str(fingerprint), str(pool), int(judgments), int(lo), int(hi),
-                    int(lo_wins),
+                if not len(lo) == len(hi) == 4 * len(lo_wins):
+                    return "batch blob lengths mismatch (truncated or corrupted batch)"
+                expected = _batch_checksum(
+                    str(fingerprint), str(pool), int(judgments), lo, hi, lo_wins
                 )
                 if checksum != expected:
-                    return False
+                    return "batch checksum mismatch (corrupted or tampered batch)"
         except sqlite3.DatabaseError:
-            return False
-        return True
+            return "batch checksum mismatch (unreadable batches table)"
+        return None
 
     def _rebuild(self, reason: str) -> None:
         """Drop everything and start cold, keeping the reason visible."""
@@ -207,52 +234,75 @@ class PersistentComparisonStore:
         )
         self.rebuilt_reason = reason
         with self._conn:
+            # ``comparisons`` is the one-row-per-pair table of schema 1.
             self._conn.execute("DROP TABLE IF EXISTS comparisons")
+            self._conn.execute("DROP TABLE IF EXISTS batches")
             self._conn.execute("DROP TABLE IF EXISTS meta")
         self._create_schema()
 
     # ------------------------------------------------------------------
     # Contents
     # ------------------------------------------------------------------
+    def batches(self) -> Iterator[PairBatch]:
+        """Stored batches in write (``seq``) order."""
+        rows = self._conn.execute(
+            "SELECT fingerprint, pool, judgments, lo, hi, lo_wins FROM batches ORDER BY seq"
+        ).fetchall()
+        for fingerprint, pool, judgments, lo, hi, lo_wins in rows:
+            yield PairBatch(
+                str(fingerprint),
+                str(pool),
+                int(judgments),
+                np.frombuffer(lo, dtype="<i4"),
+                np.frombuffer(hi, dtype="<i4"),
+                np.frombuffer(lo_wins, dtype=np.uint8).astype(bool),
+            )
+
     def load(self) -> dict[Key, bool]:
         """All stored judgments as an in-memory ``{key: lo_wins}`` map."""
         out: dict[Key, bool] = {}
-        rows = self._conn.execute(
-            "SELECT fingerprint, pool, judgments, lo, hi, lo_wins FROM comparisons"
-        )
-        for fingerprint, pool, judgments, lo, hi, lo_wins in rows:
-            out[(str(fingerprint), str(pool), int(judgments), int(lo), int(hi))] = bool(
-                lo_wins
+        for fingerprint, pool, judgments, lo, hi, lo_wins in self.batches():
+            out.update(
+                ((fingerprint, pool, judgments, a, b), wins)
+                for a, b, wins in zip(lo.tolist(), hi.tolist(), lo_wins.tolist())
             )
         return out
 
-    def write_entries(self, entries: Iterable[tuple[Key, bool]]) -> int:
-        """Upsert settled judgments in one transaction; returns count."""
-        rows = [
-            (
-                key[0], key[1], key[2], key[3], key[4], int(lo_wins),
-                _row_checksum(key[0], key[1], key[2], key[3], key[4], int(lo_wins)),
+    def write_entries(self, batches: Iterable[PairBatch]) -> int:
+        """Append column batches in one transaction; returns pairs written.
+
+        Each non-empty batch becomes one row; a pair already stored is
+        overwritten because later batches win on :meth:`load`.
+        """
+        rows = []
+        for fingerprint, pool, judgments, lo, hi, lo_wins in batches:
+            if not len(lo):
+                continue
+            blobs = (
+                np.asarray(lo, dtype="<i4").tobytes(),
+                np.asarray(hi, dtype="<i4").tobytes(),
+                np.asarray(lo_wins, dtype=np.uint8).tobytes(),
             )
-            for key, lo_wins in entries
-        ]
-        if not rows:
-            return 0
-        with self._conn:
-            self._conn.executemany(
-                "INSERT OR REPLACE INTO comparisons VALUES (?, ?, ?, ?, ?, ?, ?)",
-                rows,
-            )
-        return len(rows)
+            key = (fingerprint, pool, int(judgments))
+            rows.append((*key, *blobs, _batch_checksum(*key, *blobs)))
+        if rows:
+            with self._conn:
+                self._conn.executemany(
+                    "INSERT INTO batches (fingerprint, pool, judgments, lo, hi,"
+                    " lo_wins, checksum) VALUES (?, ?, ?, ?, ?, ?, ?)",
+                    rows,
+                )
+        return sum(len(row[5]) for row in rows)
 
     def invalidate(
         self, fingerprint: str | None = None, pool_name: str | None = None
     ) -> int:
-        """Delete rows matching the filters; returns how many were removed.
+        """Delete pairs matching the filters; returns how many were removed.
 
         The same selector semantics as the in-memory cache's
         ``invalidate``: no filters clears everything, ``fingerprint``
         one catalog, ``pool_name`` one worker class, both their
-        intersection.
+        intersection.  Batches are per bucket, so whole rows go.
         """
         clauses: list[str] = []
         params: list[object] = []
@@ -262,16 +312,16 @@ class PersistentComparisonStore:
         if pool_name is not None:
             clauses.append("pool = ?")
             params.append(pool_name)
-        sql = "DELETE FROM comparisons"
+        sql = "DELETE FROM batches"
         if clauses:
             sql += " WHERE " + " AND ".join(clauses)
+        before = len(self)
         with self._conn:
-            cur = self._conn.execute(sql, params)
-        return int(cur.rowcount)
+            self._conn.execute(sql, params)
+        return before - len(self)
 
     def __len__(self) -> int:
-        row = self._conn.execute("SELECT COUNT(*) FROM comparisons").fetchone()
-        return int(row[0])
+        return len(self.load())
 
     def close(self) -> None:
         """Close the connection (committed data stays on disk)."""

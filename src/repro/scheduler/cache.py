@@ -27,15 +27,17 @@ execution; see ``docs/SCHEDULER.md`` for the full contract.
 from __future__ import annotations
 
 import hashlib
+from itertools import repeat
 
 import numpy as np
 
 from ..core.instance import ProblemInstance
-from ..durability.store import PersistentComparisonStore
+from ..durability.store import PairBatch, PersistentComparisonStore
 from ..telemetry import Tracer, resolve_tracer
 
 __all__ = [
     "fingerprint_instance",
+    "pair_codes",
     "ComparisonMemoCache",
     "DurableComparisonCache",
 ]
@@ -61,15 +63,42 @@ def fingerprint_instance(instance: ProblemInstance | np.ndarray) -> str:
     return digest.hexdigest()
 
 
-#: One cache key: (fingerprint, pool, judgments_per_task, lo, hi).
-_Key = tuple[str, str, int, int, int]
+#: One cache bucket: (fingerprint, pool, judgments_per_task).
+Bucket = tuple[str, str, int]
+
+#: Pair indices must lie in ``[0, 2**31)``: both halves of a pair code
+#: and both ``<i4`` store blobs then hold every index exactly.
+_INDEX_LIMIT = 2**31
+
+#: ``bucket.get`` default marking a miss in :meth:`ComparisonMemoCache.lookup_batch`.
+_MISSING = 2
+
+
+def pair_codes(
+    indices_i: np.ndarray, indices_j: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unordered pair codes ``lo << 32 | hi`` and where ``i > j``.
+
+    ``(3, 7)`` and ``(7, 3)`` share one code; the second array flags
+    the pairs whose answer must be flipped to read "``lo`` wins".
+    Raises :class:`ValueError` for an index outside ``[0, 2**31)``,
+    which could otherwise alias another pair's code.
+    """
+    i = np.asarray(indices_i, dtype=np.int64)
+    j = np.asarray(indices_j, dtype=np.int64)
+    if i.size and (
+        min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= _INDEX_LIMIT
+    ):
+        raise ValueError(f"pair indices must lie in [0, {_INDEX_LIMIT})")
+    return np.minimum(i, j) << 32 | np.maximum(i, j), i > j
 
 
 class ComparisonMemoCache:
     """Memo of settled pairwise answers, shared across jobs.
 
-    Pairs are stored unordered (``lo < hi``) with the answer normalised
-    to "``lo`` wins", so ``(3, 7)`` and ``(7, 3)`` hit the same entry.
+    Answers live in one dict per bucket ``(fingerprint, pool,
+    judgments)``, keyed by :func:`pair_codes` and normalised to
+    "``lo`` wins", so ``(3, 7)`` and ``(7, 3)`` hit the same entry.
     ``hits`` / ``misses`` count *lookups*, giving the judgments-saved
     numerator the benchmark and the ``cache_hit`` telemetry report.
     The optional ``tracer`` receives ``cache_invalidated`` events (and,
@@ -78,7 +107,7 @@ class ComparisonMemoCache:
     """
 
     def __init__(self, tracer: Tracer | None = None) -> None:
-        self._store: dict[_Key, bool] = {}
+        self._buckets: dict[Bucket, dict[int, bool]] = {}
         self.hits = 0
         self.misses = 0
         self.tracer = resolve_tracer(tracer)
@@ -86,15 +115,6 @@ class ComparisonMemoCache:
     # ------------------------------------------------------------------
     # Lookup / store
     # ------------------------------------------------------------------
-    @staticmethod
-    def _key(
-        fingerprint: str, pool_name: str, judgments_per_task: int, i: int, j: int
-    ) -> tuple[_Key, bool]:
-        """Normalised key plus whether the pair was flipped to make it."""
-        if i <= j:
-            return (fingerprint, pool_name, judgments_per_task, i, j), False
-        return (fingerprint, pool_name, judgments_per_task, j, i), True
-
     def lookup_batch(
         self,
         fingerprint: str,
@@ -110,25 +130,17 @@ class ComparisonMemoCache:
         element of the pair wins); the rest must be bought fresh.
         Updates the hit/miss counters.
         """
-        size = len(indices_i)
-        hit_mask = np.zeros(size, dtype=bool)
-        answers = np.zeros(size, dtype=bool)
-        for k in range(size):
-            key, flipped = self._key(
-                fingerprint,
-                pool_name,
-                judgments_per_task,
-                int(indices_i[k]),
-                int(indices_j[k]),
-            )
-            lo_wins = self._store.get(key)
-            if lo_wins is None:
-                self.misses += 1
-                continue
-            self.hits += 1
-            hit_mask[k] = True
-            answers[k] = (not lo_wins) if flipped else lo_wins
-        return hit_mask, answers
+        codes, flipped = pair_codes(indices_i, indices_j)
+        size = len(codes)
+        bucket = self._buckets.get((fingerprint, pool_name, judgments_per_task), {})
+        found = np.fromiter(
+            map(bucket.get, codes.tolist(), repeat(_MISSING)), dtype=np.int8, count=size
+        )
+        hit_mask = found != _MISSING
+        hits = int(np.count_nonzero(hit_mask))
+        self.hits += hits
+        self.misses += size - hits
+        return hit_mask, ((found == 1) ^ flipped) & hit_mask
 
     def store_batch(
         self,
@@ -140,29 +152,20 @@ class ComparisonMemoCache:
         answers: np.ndarray,
     ) -> None:
         """Record freshly bought answers (``True`` = first wins)."""
-        entries: list[tuple[_Key, bool]] = []
-        for k in range(len(indices_i)):
-            key, flipped = self._key(
-                fingerprint,
-                pool_name,
-                judgments_per_task,
-                int(indices_i[k]),
-                int(indices_j[k]),
-            )
-            first_wins = bool(answers[k])
-            lo_wins = (not first_wins) if flipped else first_wins
-            self._store[key] = lo_wins
-            entries.append((key, lo_wins))
-        self._ingest(entries)
+        codes, flipped = pair_codes(indices_i, indices_j)
+        lo_wins = np.asarray(answers, dtype=bool) ^ flipped
+        bucket = (fingerprint, pool_name, judgments_per_task)
+        self._buckets.setdefault(bucket, {}).update(zip(codes.tolist(), lo_wins.tolist()))
+        self._ingest(bucket, codes, lo_wins)
 
-    def _ingest(self, entries: list[tuple[_Key, bool]]) -> None:
+    def _ingest(self, bucket: Bucket, codes: np.ndarray, lo_wins: np.ndarray) -> None:
         """Hook for subclasses that mirror stores to a backing medium."""
 
     # ------------------------------------------------------------------
     # Introspection / invalidation
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._store)
+        return sum(map(len, self._buckets.values()))
 
     @property
     def lookups(self) -> int:
@@ -188,19 +191,13 @@ class ComparisonMemoCache:
         describe traffic, not contents.  Emits one ``cache_invalidated``
         telemetry event carrying the selector and the eviction count.
         """
-        if fingerprint is None and pool_name is None:
-            removed = len(self._store)
-            self._store.clear()
-        else:
-            doomed = [
-                key
-                for key in self._store
-                if (fingerprint is None or key[0] == fingerprint)
-                and (pool_name is None or key[1] == pool_name)
-            ]
-            for key in doomed:
-                del self._store[key]
-            removed = len(doomed)
+        doomed = [
+            bucket
+            for bucket in self._buckets
+            if (fingerprint is None or bucket[0] == fingerprint)
+            and (pool_name is None or bucket[1] == pool_name)
+        ]
+        removed = sum(len(self._buckets.pop(bucket)) for bucket in doomed)
         if self.tracer.enabled:
             self.tracer.event(
                 "cache_invalidated",
@@ -212,7 +209,7 @@ class ComparisonMemoCache:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"ComparisonMemoCache(entries={len(self._store)}, "
+            f"ComparisonMemoCache(entries={len(self)}, "
             f"hits={self.hits}, misses={self.misses})"
         )
 
@@ -241,28 +238,34 @@ class DurableComparisonCache(ComparisonMemoCache):
     ) -> None:
         super().__init__(tracer=tracer)
         self.store = store
-        self._store.update(store.load())
+        for batch in store.batches():
+            codes, _ = pair_codes(batch.lo, batch.hi)
+            self._buckets.setdefault(batch[:3], {}).update(
+                zip(codes.tolist(), batch.lo_wins.tolist())
+            )
         #: Entries warm-loaded from disk at construction.
-        self.warm_entries = len(self._store)
+        self.warm_entries = len(self)
         #: When ``True`` (set by the scheduler while journaling), the
         #: SQLite write-through is buffered and only lands at
         #: :meth:`flush_pending` — after the tick's journal group is
         #: durable.  In-memory visibility is immediate either way.
         self.deferred = False
-        self._pending_entries: list[tuple[_Key, bool]] = []
+        self._pending: list[PairBatch] = []
 
-    def _ingest(self, entries: list[tuple[_Key, bool]]) -> None:
+    def _ingest(self, bucket: Bucket, codes: np.ndarray, lo_wins: np.ndarray) -> None:
+        batch = PairBatch(*bucket, codes >> 32, codes & 0xFFFFFFFF, lo_wins)
         if self.deferred:
-            self._pending_entries.extend(entries)
+            self._pending.append(batch)
             return
-        self._write_through(entries)
+        self._write_through([batch])
 
-    def _write_through(self, entries: list[tuple[_Key, bool]]) -> None:
-        written = self.store.write_entries(entries)
+    def _write_through(self, batches: list[PairBatch]) -> int:
+        written = self.store.write_entries(batches)
         if written and self.tracer.enabled:
             self.tracer.event("cache_persisted", entries=written)
         if written:
             self.tracer.count("durability.cache_persisted", written)
+        return written
 
     def flush_pending(self) -> int:
         """Commit the deferred write-through; returns entries flushed.
@@ -270,10 +273,8 @@ class DurableComparisonCache(ComparisonMemoCache):
         Call only after the journal records covering these entries are
         durable — the journal-before-store ordering contract.
         """
-        entries, self._pending_entries = self._pending_entries, []
-        if entries:
-            self._write_through(entries)
-        return len(entries)
+        batches, self._pending = self._pending, []
+        return self._write_through(batches) if batches else 0
 
     def invalidate(
         self, fingerprint: str | None = None, pool_name: str | None = None
@@ -290,6 +291,6 @@ class DurableComparisonCache(ComparisonMemoCache):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"DurableComparisonCache(entries={len(self._store)}, "
+            f"DurableComparisonCache(entries={len(self)}, "
             f"warm={self.warm_entries}, path={str(self.store.path)!r})"
         )

@@ -94,7 +94,13 @@ from ..platform.platform import CrowdPlatform, FastBatchPlan, fast_model_groups
 from ..platform.workforce import WorkerPool
 from ..jobs import BudgetExceededError, CrowdJobResult, CrowdMaxJob
 from ..telemetry import NULL_TRACER, Tracer, resolve_tracer
-from .cache import ComparisonMemoCache, DurableComparisonCache, fingerprint_instance
+from .cache import (
+    Bucket,
+    ComparisonMemoCache,
+    DurableComparisonCache,
+    fingerprint_instance,
+    pair_codes,
+)
 from .errors import JobCancelledError, SchedulerSaturatedError
 
 __all__ = ["JobTicket", "JobOutcome", "CrowdScheduler"]
@@ -887,7 +893,7 @@ class CrowdScheduler:
         answered wholly from the cache settles at zero cost in place.
         """
         pending: list[_FusedPending] = []
-        pending_keys: set[tuple[str, str, int, int, int]] = set()
+        pending_keys: dict[Bucket, set[int]] = {}
         for ticket in admitted:
             request = ticket.request
             assert request is not None
@@ -963,46 +969,34 @@ class CrowdScheduler:
 
     @staticmethod
     def _add_pending_keys(
-        pending_keys: set[tuple[str, str, int, int, int]],
+        pending_keys: dict[Bucket, set[int]],
         ticket: JobTicket,
         request: _CompareRequest,
         miss: np.ndarray,
     ) -> None:
-        key_of = ComparisonMemoCache._key
-        for k in miss:
-            key, _ = key_of(
-                ticket.fingerprint,
-                request.pool_name,
-                request.judgments_per_task,
-                int(request.indices_i[k]),
-                int(request.indices_j[k]),
-            )
-            pending_keys.add(key)
+        codes, _ = pair_codes(request.indices_i[miss], request.indices_j[miss])
+        bucket = (ticket.fingerprint, request.pool_name, request.judgments_per_task)
+        pending_keys.setdefault(bucket, set()).update(codes.tolist())
 
     @staticmethod
     def _overlaps_pending(
-        pending_keys: set[tuple[str, str, int, int, int]],
+        pending_keys: dict[Bucket, set[int]],
         ticket: JobTicket,
         request: _CompareRequest,
     ) -> bool:
         """Whether any pair of ``request`` is a buffered (unstored) miss."""
-        key_of = ComparisonMemoCache._key
-        for i, j in zip(request.indices_i, request.indices_j):
-            key, _ = key_of(
-                ticket.fingerprint,
-                request.pool_name,
-                request.judgments_per_task,
-                int(i),
-                int(j),
-            )
-            if key in pending_keys:
-                return True
-        return False
+        pending = pending_keys.get(
+            (ticket.fingerprint, request.pool_name, request.judgments_per_task)
+        )
+        if pending is None:
+            return False
+        codes, _ = pair_codes(request.indices_i, request.indices_j)
+        return not pending.isdisjoint(codes.tolist())
 
     def _flush_fused(
         self,
         pending: list[_FusedPending],
-        pending_keys: set[tuple[str, str, int, int, int]],
+        pending_keys: dict[Bucket, set[int]],
     ) -> None:
         """Settle the buffered requests in one fused platform pass.
 
@@ -1272,11 +1266,11 @@ class CrowdScheduler:
             job_index=ticket.index,
             pool=request.pool_name,
             judgments=request.judgments_per_task,
-            indices_i=[int(v) for v in request.indices_i],
-            indices_j=[int(v) for v in request.indices_j],
-            miss=[int(v) for v in miss],
-            fresh=[bool(v) for v in fresh] if fresh is not None else [],
-            answers=[bool(v) for v in answers],
+            indices_i=request.indices_i.tolist(),
+            indices_j=request.indices_j.tolist(),
+            miss=miss.tolist(),
+            fresh=fresh.tolist() if fresh is not None else [],
+            answers=answers.tolist(),
             hits=hits,
             charges=[[label, count, cost] for label, count, cost in tape],
             report=_report_to_state(report) if touched else None,
@@ -1308,8 +1302,8 @@ class CrowdScheduler:
         expectations: list[tuple[str, object, object]] = [
             ("pool", record["pool"], request.pool_name),
             ("judgments", record["judgments"], request.judgments_per_task),
-            ("indices_i", record["indices_i"], [int(v) for v in request.indices_i]),
-            ("indices_j", record["indices_j"], [int(v) for v in request.indices_j]),
+            ("indices_i", record["indices_i"], request.indices_i.tolist()),
+            ("indices_j", record["indices_j"], request.indices_j.tolist()),
         ]
         for name, recorded, actual in expectations:
             if recorded != actual:

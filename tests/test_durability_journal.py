@@ -28,6 +28,16 @@ class TestRoundTrip:
     def test_missing_file_recovers_empty(self, tmp_path):
         assert JobJournal.recover(tmp_path / "absent.jsonl") == []
 
+    def test_line_is_compact_body_with_crc_first(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        with JobJournal(path) as journal:
+            record = journal.append("serve", seq=0, answers=[True, False], pool="crowd")
+        line = path.read_text()
+        assert line == "{" + f'"crc":"{record["crc"]}",' + (
+            '"answers":[true,false],"kind":"serve","pool":"crowd","seq":0}\n'
+        )
+        assert json.loads(line) == record
+
     def test_append_counts(self, tmp_path):
         journal = JobJournal(tmp_path / "j.jsonl")
         journal.append("header", a=1)

@@ -14,6 +14,8 @@ The resume contract under test (see docs/DURABILITY.md):
   together.
 """
 
+import json
+
 import pytest
 
 from repro.durability import (
@@ -161,6 +163,26 @@ class TestJournalCompatibility:
             journal.append(record["kind"], **fields)
         journal.close()
         assert JobJournal.recover(journal_path)[0]["fusion"] is True
+        resumed, sched, _ = run_durable_workload(make_workload(), state)
+        assert fingerprints(resumed) == fingerprints(first)
+        assert sched.replayed_batches == sum(1 for r in records if r["kind"] == "serve")
+
+
+    @pytest.mark.parametrize("keep_records", [3, None])
+    def test_old_line_format_resumes(self, tmp_path, keep_records):
+        """Journals written before records were encoded once hold
+        ``json.dumps(record, sort_keys=True)`` lines (spaced, ``crc``
+        sorted among the other keys).  The CRC covers the payload, not
+        the line, so such a journal recovers and resumes bit-identically."""
+        state = tmp_path / "state"
+        first, _, _ = run_durable_workload(make_workload(), state)
+        journal_path = state / "journal.jsonl"
+        records = JobJournal.recover(journal_path)[:keep_records]
+        journal_path.write_text(
+            "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+        )
+        (state / "comparisons.sqlite3").unlink()
+        assert JobJournal.recover(journal_path) == records
         resumed, sched, _ = run_durable_workload(make_workload(), state)
         assert fingerprints(resumed) == fingerprints(first)
         assert sched.replayed_batches == sum(1 for r in records if r["kind"] == "serve")
