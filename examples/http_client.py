@@ -71,6 +71,7 @@ async def main() -> None:
                 f" survivors={len(breach.partial.survivors)}"
             )
     finally:
+        await client.aclose()
         await server.aclose()
 
 

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 __all__ = ["MeanCI", "mean_ci", "proportion_ci", "geometric_mean"]
 
@@ -48,7 +47,9 @@ def mean_ci(samples: np.ndarray, confidence: float = 0.95) -> MeanCI:
     if n == 1:
         return MeanCI(mean=mean, half_width=0.0, n=1)
     sem = float(samples.std(ddof=1) / math.sqrt(n))
-    t = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
+    from scipy.stats import t as student_t  # lazy: scipy.stats dominates `import repro`
+
+    t = float(student_t.ppf(0.5 + confidence / 2.0, df=n - 1))
     return MeanCI(mean=mean, half_width=t * sem, n=n)
 
 
@@ -62,7 +63,9 @@ def proportion_ci(successes: int, trials: int, confidence: float = 0.95) -> Mean
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
-    z = float(scipy_stats.norm.ppf(0.5 + confidence / 2.0))
+    from scipy.stats import norm  # lazy: scipy.stats dominates `import repro`
+
+    z = float(norm.ppf(0.5 + confidence / 2.0))
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

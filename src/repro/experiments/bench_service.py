@@ -119,7 +119,10 @@ async def _drive(
                 return
 
     wall0 = time.perf_counter()
-    await asyncio.gather(*(_one(i, spec) for i, spec in enumerate(specs)))
+    try:
+        await asyncio.gather(*(_one(i, spec) for i, spec in enumerate(specs)))
+    finally:
+        await client.aclose()
     wall_s = time.perf_counter() - wall0
     return {
         "wall_s": wall_s,

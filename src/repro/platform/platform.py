@@ -238,6 +238,10 @@ class CrowdPlatform:
         # independent of batch boundaries.
         self._fast_key: int | None = None
         self._fast_seq = 0
+        #: ``(key, generator, its counter-0 state)`` for ``_fast_key``:
+        #: building a Philox draws OS entropy first, so it is built once
+        #: per key and rewound instead.
+        self._fast_stream: tuple[int, np.random.Generator, dict] | None = None
 
     # ------------------------------------------------------------------
     # Public API
@@ -445,12 +449,14 @@ class CrowdPlatform:
         """
         if self._fast_key is None:
             self._fast_key = int(self.rng.integers(0, 2**63))
-        bits = np.random.Philox(key=self._fast_key)
-        bits.advance(start)
-        return (
-            np.random.Generator(bits)
-            .random(count * _FAST_UNIFORM_WIDTH)
-            .reshape(count, _FAST_UNIFORM_WIDTH)
+        if self._fast_stream is None or self._fast_stream[0] != self._fast_key:
+            bits = np.random.Philox(key=self._fast_key)
+            self._fast_stream = (self._fast_key, np.random.Generator(bits), bits.state)
+        _, generator, origin = self._fast_stream
+        generator.bit_generator.state = origin
+        generator.bit_generator.advance(start)
+        return generator.random(count * _FAST_UNIFORM_WIDTH).reshape(
+            count, _FAST_UNIFORM_WIDTH
         )
 
     def _submit_batch_vectorized(

@@ -10,10 +10,18 @@ clauses as in-process ones.  Codes that do not rehydrate (the
 HTTP-layer ones, or anything unknown) raise
 :class:`RemoteServiceError`, which carries the code and status.
 
-The client opens one connection per request (``Connection: close``
-semantics): the simplest thing that is fully correct, and exactly what
-the ``bench-service`` harness wants — thousands of independent
-request/response pairs over real sockets.
+Requests run over HTTP/1.1 keep-alive connections.  A connection
+serves one request at a time: :meth:`ServiceClient.request` takes an
+idle one from the client's pool (or opens one when none is idle) and
+puts it back once the response is read, if the server answered
+``Connection: keep-alive``.  So N concurrent requests on one client use
+at most N connections.  A connection that fails mid-exchange is closed,
+never pooled; only a ``GET`` whose *reused* connection failed before
+any response byte was read is retried, once, on a fresh connection.  A
+``POST`` is never replayed.  Idle connections belong to the event loop
+that opened them: a request on another loop drops them and opens its
+own.  Call :meth:`ServiceClient.aclose` when done, on the loop that
+made the requests, to close the idle ones.
 """
 
 from __future__ import annotations
@@ -96,6 +104,40 @@ class ServiceClient:
         self.host = host
         self.port = port
         self.token = token
+        #: Idle keep-alive connections, all opened on ``_loop``.
+        self._idle: list[tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
+        self._loop: asyncio.AbstractEventLoop | None = None
+
+    async def aclose(self) -> None:
+        """Close every idle pooled connection.
+
+        Call it after the last request, on the loop that made them; the
+        client stays usable and opens new connections afterwards.
+        """
+        idle = self._idle_on(asyncio.get_running_loop())
+        closing = [writer for _, writer in idle]
+        idle.clear()
+        for writer in closing:
+            writer.close()
+        await asyncio.gather(
+            *(writer.wait_closed() for writer in closing), return_exceptions=True
+        )
+
+    def _idle_on(
+        self, loop: asyncio.AbstractEventLoop
+    ) -> list[tuple[asyncio.StreamReader, asyncio.StreamWriter]]:
+        """The idle pool, first emptied if another loop opened it.
+
+        Another loop's sockets are closed on that loop while it still
+        exists; a closed loop's can only be dropped.
+        """
+        if self._loop is not loop:
+            stale, self._idle = self._idle, []
+            old, self._loop = self._loop, loop
+            if old is not None and not old.is_closed():
+                for _, writer in stale:
+                    old.call_soon_threadsafe(writer.close)
+        return self._idle
 
     # ------------------------------------------------------------------
     # Raw exchange
@@ -107,29 +149,53 @@ class ServiceClient:
         payload: Mapping[str, Any] | None = None,
         authenticated: bool = True,
     ) -> ServiceResponse:
-        """One raw HTTP exchange (new connection, ``Connection: close``)."""
+        """One raw HTTP exchange on a pooled keep-alive connection."""
         body = codec.dumps(payload) if payload is not None else b""
-        head = [
-            f"{method} {path} HTTP/1.1",
-            f"Host: {self.host}:{self.port}",
-            "Connection: close",
-        ]
+        head = [f"{method} {path} HTTP/1.1", f"Host: {self.host}:{self.port}"]
         if authenticated:
             head.append(f"Authorization: Bearer {self.token}")
         if body:
             head.append("Content-Type: application/json")
         head.append(f"Content-Length: {len(body)}")
-        reader, writer = await asyncio.open_connection(self.host, self.port)
+        data = "\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + body
+        reader, writer, reused = await self._checkout()
         try:
-            writer.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + body)
-            await writer.drain()
-            status, headers = await _read_head(reader)
+            try:
+                response_head = await _send(reader, writer, data)
+            except (ConnectionError, asyncio.IncompleteReadError) as exc:
+                partial = isinstance(exc, asyncio.IncompleteReadError) and exc.partial
+                if method != "GET" or not reused or partial:
+                    raise
+                # The server closed the idle connection before reading
+                # the request: a GET is safe to send once more.
+                writer.close()
+                reader, writer = await asyncio.open_connection(self.host, self.port)
+                response_head = await _send(reader, writer, data)
+            status, headers = _parse_head(response_head)
             length = int(headers.get("content-length", "0") or "0")
             raw = await reader.readexactly(length) if length else b""
-        finally:
+        except BaseException:
+            writer.close()
+            raise
+        if headers.get("connection", "").lower() == "keep-alive":
+            self._idle.append((reader, writer))
+        else:
             writer.close()
         decoded = codec.loads(raw) if raw else {}
         return ServiceResponse(status, decoded)
+
+    async def _checkout(
+        self,
+    ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter, bool]:
+        """An idle live connection (reused=True), else a new one."""
+        idle = self._idle_on(asyncio.get_running_loop())
+        while idle:
+            reader, writer = idle.pop()
+            if not (reader.at_eof() or writer.is_closing()):
+                return reader, writer, True
+            writer.close()
+        reader, writer = await asyncio.open_connection(self.host, self.port)
+        return reader, writer, False
 
     # ------------------------------------------------------------------
     # Typed endpoints
@@ -193,7 +259,7 @@ class ServiceClient:
             ]
             writer.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n")
             await writer.drain()
-            status, headers = await _read_head(reader)
+            status, headers = _parse_head(await reader.readuntil(b"\r\n\r\n"))
             if status != 200:
                 length = int(headers.get("content-length", "0") or "0")
                 raw = await reader.readexactly(length) if length else b""
@@ -209,8 +275,16 @@ class ServiceClient:
             writer.close()
 
 
-async def _read_head(reader: asyncio.StreamReader) -> tuple[int, dict[str, str]]:
-    head = await reader.readuntil(b"\r\n\r\n")
+async def _send(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter, data: bytes
+) -> bytes:
+    """Write one request; return its response head."""
+    writer.write(data)
+    await writer.drain()
+    return await reader.readuntil(b"\r\n\r\n")
+
+
+def _parse_head(head: bytes) -> tuple[int, dict[str, str]]:
     lines = head.decode("latin-1").split("\r\n")
     status = int(lines[0].split(" ")[1])
     headers: dict[str, str] = {}

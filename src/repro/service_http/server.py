@@ -142,13 +142,16 @@ class _Connection:
     # The one error boundary
     # ------------------------------------------------------------------
     async def handle(self, request: _HttpRequest) -> bool:
+        """Answer one request; True when the connection serves another."""
         server = self._server
         status = 500
+        tokens = request.headers.get("connection", "").lower().split(",")
+        keep_alive = "close" not in {token.strip() for token in tokens}
         try:
             status, payload, streamed = await server.dispatch(request, self)
             if not streamed:
-                await self._respond(status, payload)
-            return not streamed
+                await self._respond(status, payload, keep_alive=keep_alive)
+            return keep_alive and not streamed
         except Exception as exc:  # repro-lint: disable=ERR003 -- the wire error boundary
             code = wire_code(exc)
             status = wire_status(code)
@@ -158,8 +161,10 @@ class _Connection:
                 if retry_after is None:
                     retry_after = server.config.retry_after_s
                 extra["Retry-After"] = str(max(0.0, float(retry_after)))
-            await self._respond(status, error_envelope(exc), extra_headers=extra)
-            return True
+            await self._respond(
+                status, error_envelope(exc), extra_headers=extra, keep_alive=keep_alive
+            )
+            return keep_alive
         finally:
             if server.tracer.enabled:
                 server.tracer.event(
@@ -175,6 +180,7 @@ class _Connection:
         status: int,
         payload: Mapping[str, Any],
         extra_headers: Mapping[str, str] | None = None,
+        keep_alive: bool = True,
     ) -> None:
         body = codec.dumps(payload)
         reason = {200: "OK", 202: "Accepted"}.get(status, "Error")
@@ -185,7 +191,7 @@ class _Connection:
         ]
         for name, value in (extra_headers or {}).items():
             head.append(f"{name}: {value}")
-        head.append("Connection: keep-alive")
+        head.append("Connection: keep-alive" if keep_alive else "Connection: close")
         self._writer.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + body)
         await self._writer.drain()
 

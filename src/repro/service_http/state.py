@@ -93,6 +93,9 @@ class ServiceState:
         self._next_id = 1
         self.generations = 0
         self.settled = 0
+        #: Records whose status is ``"running"``; every status write
+        #: goes through :meth:`_set_status`, which keeps it exact.
+        self._running = 0
 
     # ------------------------------------------------------------------
     # Loop-thread API (HTTP handlers)
@@ -145,7 +148,7 @@ class ServiceState:
                 )
             record.cancel_requested = True
             if status == "queued":
-                record.status = "cancelled"
+                self._set_status(record, "cancelled")
                 record.error = JobCancelledError(record.job_id)
                 try:
                     self._pending.remove(record)
@@ -186,9 +189,7 @@ class ServiceState:
         """Queue/running/settled/generation counts (``/healthz``)."""
         with self._lock:
             queued = len(self._pending)
-            running = sum(
-                1 for r in self._records.values() if r.status == "running"
-            )
+            running = self._running
         return {
             "queued": queued,
             "running": running,
@@ -223,7 +224,7 @@ class ServiceState:
     ) -> None:
         """Stamp admission: running, in ``generation``, under ``ticket``."""
         with self._lock:
-            record.status = "running"
+            self._set_status(record, "running")
             record.generation = generation
             record.ticket = ticket
 
@@ -237,12 +238,17 @@ class ServiceState:
     ) -> None:
         """Record a terminal outcome and wake every waiter."""
         with self._lock:
-            record.status = status
+            self._set_status(record, status)
             record.result = result
             record.error = error
             record.cost = cost
             self.settled += 1
         self._notify_settled(record)
+
+    def _set_status(self, record: JobRecord, status: str) -> None:
+        """Write ``record.status`` and the running count (lock held)."""
+        self._running += (status == "running") - (record.status == "running")
+        record.status = status
 
     def next_generation(self) -> int:
         """Allocate the next generation number (runner thread)."""

@@ -8,6 +8,9 @@ import path, and ``repro.service`` survives as a silent alias of
 """
 
 import importlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -55,6 +58,25 @@ class TestFacadeSurface:
     def test_deprecated_name_is_not_on_the_facade(self):
         assert "ResilientCrowdMaxJob" not in repro.api.__all__
         assert not hasattr(repro.api, "ResilientCrowdMaxJob")
+
+
+class TestImportCost:
+    def test_importing_the_facade_loads_no_scipy(self):
+        """scipy.stats is imported where it is used, not by ``repro.api``."""
+        probe = (
+            "import sys, repro.api; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert done.stdout.strip() == "[]"
 
 
 class TestShimRemoval:

@@ -180,6 +180,31 @@ class TestChunkingInvariance:
         assert a != b
 
 
+class TestFastUniformStream:
+    """The rewound cached Philox equals a fresh one for every call."""
+
+    @staticmethod
+    def fresh(key, start, count):
+        bits = np.random.Philox(key=key)
+        bits.advance(start)
+        return np.random.Generator(bits).random(count * 4).reshape(count, 4)
+
+    def test_matches_a_fresh_philox_across_calls_and_key_changes(self):
+        platform = make_platform(PerfectWorkerModel())
+        calls = [(0, 5), (5, 3), (2, 10), (100, 1), (0, 1), (7, 7)]
+        for start, count in calls:
+            got = platform._fast_uniforms(start, count)
+            assert np.array_equal(got, self.fresh(platform._fast_key, start, count))
+        # A resume restores another key (scheduler/engine.py): the cached
+        # generator must follow it, and back again.
+        first_key = platform._fast_key
+        for key in (12345, first_key):
+            platform._fast_key = key
+            for start, count in calls:
+                got = platform._fast_uniforms(start, count)
+                assert np.array_equal(got, self.fresh(key, start, count))
+
+
 class TestFastPathGating:
     """Every resilience feature must force the physical-step loop."""
 

@@ -15,7 +15,9 @@ Three layers of coverage, matching the wire contract in
 """
 
 import asyncio
+import gc
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -47,6 +49,7 @@ from repro.service_http.errors import (
     UnauthorizedError,
 )
 from repro.service_http.runner import default_pool_factory
+from repro.service_http.state import ServiceState
 
 TOKEN = "test-token"
 TENANT = "acme"
@@ -65,6 +68,7 @@ def run_service(scenario, config=None, stop_runner=False):
         try:
             await scenario(server, client)
         finally:
+            await client.aclose()
             await server.aclose()
 
     asyncio.run(main())
@@ -308,6 +312,7 @@ class TestAuthEdges:
             bad = ServiceClient("127.0.0.1", server.port, "wrong-token")
             with pytest.raises(RemoteServiceError) as info:
                 await bad.submit_job(small_spec())
+            await bad.aclose()
             assert info.value.status == 401
             assert info.value.code == "unauthorized"
 
@@ -345,6 +350,7 @@ class TestAuthEdges:
             intruder = ServiceClient("127.0.0.1", server.port, "other-token")
             with pytest.raises(RemoteServiceError) as info:
                 await intruder.job_status(view.job_id)
+            await intruder.aclose()
             assert info.value.status == 403
 
         run_service(scenario, config=config)
@@ -435,6 +441,27 @@ class TestProtocolEdges:
             status, _, raw = await http("GET", "/healthz", server.port)
             assert status == 200
             assert json.loads(raw)["status"] == "ok"
+
+        run_service(scenario)
+
+
+class TestConnectionClose:
+    def test_request_close_gets_close_and_eof(self):
+        async def scenario(server, client):
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            try:
+                writer.write(
+                    b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                    b"Connection: close\r\nContent-Length: 0\r\n\r\n"
+                )
+                await writer.drain()
+                head = await reader.readuntil(b"\r\n\r\n")
+                assert b"\r\nConnection: close\r\n" in head
+                rest = await asyncio.wait_for(reader.read(), timeout=10)
+                assert json.loads(rest)["status"] == "ok"  # the body, then EOF
+                assert reader.at_eof()
+            finally:
+                writer.close()
 
         run_service(scenario)
 
@@ -619,3 +646,192 @@ class TestTenantLedgerInjection:
             (outcome,) = second.run()
         assert outcome.status == "budget_exceeded"
         assert isinstance(outcome.error, BudgetExceededError)
+
+
+# ----------------------------------------------------------------------
+# Client connection pool
+# ----------------------------------------------------------------------
+class ThreadedService:
+    """A ``ServiceServer`` on its own loop thread, counting accepted sockets.
+
+    The client side then runs on loops of the test's choosing, which
+    may stop, close or change between requests.
+    """
+
+    def __init__(self):
+        self.accepted = 0
+        self.loop = asyncio.new_event_loop()
+        self.server = ServiceServer(ServiceConfig(port=0, tokens={TOKEN: TENANT}))
+        serve = self.server._on_connection
+
+        async def on_connection(reader, writer):
+            self.accepted += 1
+            await serve(reader, writer)
+
+        self.server._on_connection = on_connection
+        self.loop.run_until_complete(self.server.start())
+        self.thread = threading.Thread(target=self.loop.run_forever, daemon=True)
+        self.thread.start()
+
+    def client(self):
+        return ServiceClient("127.0.0.1", self.server.port, TOKEN)
+
+    def call(self, make_coro):
+        future = asyncio.run_coroutine_threadsafe(make_coro(), self.loop)
+        return future.result(timeout=30)
+
+    def drop_connections(self):
+        """Close every server-side socket, idle keep-alive ones included."""
+
+        async def reap():
+            tasks = list(self.server._connections)
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
+            await asyncio.sleep(0.05)  # the transports finish closing
+
+        self.call(reap)
+
+    def close(self):
+        self.call(self.server.aclose)
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self.thread.join(timeout=30)
+        assert not self.thread.is_alive()
+        self.loop.close()
+
+
+@pytest.fixture
+def service():
+    threaded = ThreadedService()
+    try:
+        yield threaded
+    finally:
+        threaded.close()
+
+
+class TestClientConnectionPool:
+    def test_sequential_requests_share_one_connection(self, service):
+        client = service.client()
+
+        async def session():
+            try:
+                for _ in range(5):
+                    assert (await client.health()).status == "ok"
+                view = await client.submit_job(small_spec())
+                envelope = await client.result_envelope(view.job_id, wait=30.0)
+                assert envelope.status == "ok"
+            finally:
+                await client.aclose()
+
+        asyncio.run(session())
+        assert service.accepted == 1
+
+    def test_concurrent_requests_open_one_connection_each(self, service):
+        client = service.client()
+
+        async def worker(seed):
+            for offset in range(3):
+                view = await client.submit_job(small_spec(seed=seed + offset))
+                envelope = await client.result_envelope(view.job_id, wait=30.0)
+                assert envelope.status == "ok"
+
+        async def session():
+            try:
+                await asyncio.gather(worker(10), worker(20))
+            finally:
+                await client.aclose()
+
+        asyncio.run(session())
+        assert 1 <= service.accepted <= 2
+
+    def test_one_client_across_successive_event_loops(self, service):
+        client = service.client()
+        # The first loop ends with a pooled connection it never closed.
+        assert asyncio.run(client.health()).status == "ok"
+
+        async def second():
+            try:
+                return await client.health()
+            finally:
+                await client.aclose()
+
+        # A closed loop's socket can no longer be closed: the second loop
+        # drops it unused (the collector reports it) and opens its own.
+        with pytest.warns(ResourceWarning):
+            assert asyncio.run(second()).status == "ok"
+            gc.collect()
+        assert service.accepted == 2
+
+    def test_get_on_a_connection_closed_while_idle_is_retried_once(self, service):
+        client = service.client()
+        reused = []
+        checkout = client._checkout
+
+        async def recording_checkout():
+            connection = await checkout()
+            reused.append(connection[2])
+            return connection
+
+        client._checkout = recording_checkout
+        loop = asyncio.new_event_loop()
+        try:
+            loop.run_until_complete(client.health())
+            # The server closes the pooled socket while no loop runs on
+            # the client side, so the client cannot have seen the EOF.
+            service.drop_connections()
+            assert loop.run_until_complete(client.health()).status == "ok"
+            loop.run_until_complete(client.aclose())
+        finally:
+            loop.close()
+        assert reused == [False, True]
+        assert service.accepted == 2  # the first, then the retry's
+
+    def test_post_on_a_stale_connection_is_raised_not_replayed(self, service):
+        client = service.client()
+        loop = asyncio.new_event_loop()
+        try:
+            loop.run_until_complete(client.health())
+            service.drop_connections()
+            with pytest.raises((ConnectionError, asyncio.IncompleteReadError)):
+                loop.run_until_complete(client.submit_job(small_spec()))
+            assert service.accepted == 1  # no second connection: no replay
+            assert service.server.state._next_id == 1  # no job was ever created
+            # The failed connection was discarded: the next request works.
+            assert loop.run_until_complete(client.health()).status == "ok"
+            loop.run_until_complete(client.aclose())
+        finally:
+            loop.close()
+        assert service.accepted == 2
+
+
+class TestHealthCounts:
+    def test_running_count_matches_a_full_scan(self):
+        loop = asyncio.new_event_loop()
+        state = ServiceState(loop)
+
+        def check(expected):
+            scanned = sum(r.status == "running" for r in state._records.values())
+            assert state.counts()["running"] == scanned == expected
+
+        try:
+            done, stopped, dropped = (
+                state.submit(TENANT, small_spec(seed=seed)) for seed in (1, 2, 3)
+            )
+            check(0)
+            assert state.take_batch(limit=2, timeout=0) == [done, stopped]
+            state.mark_running(done, 1, None)
+            state.mark_running(stopped, 1, None)
+            check(2)
+            # queued -> running -> ok
+            state.settle(done, "ok", None, None, 1.0)
+            check(1)
+            # queued -> cancelled: settles at once, never ran
+            assert state.cancel(dropped) == "cancelled"
+            check(1)
+            # running -> cancelled: flagged first, settled by the runner
+            assert state.cancel(stopped) == "running"
+            check(1)
+            state.settle(stopped, "cancelled", None, JobCancelledError("x"), None)
+            check(0)
+        finally:
+            loop.close()
